@@ -7,12 +7,10 @@ export, trace-event stream, and checkpoint layout
 faster. See DESIGN.md ("The fast core") for the state layout and the
 equivalence contract, and :mod:`repro.fastcore.soa` for where NumPy is
 (and deliberately is not) used; the core itself has no hard NumPy
-dependency.
+dependency and never imports it.
 
-Unsupported combinations (fault injection, the reliable transport) fall
-back to the reference core with a
-:class:`~repro.network.network.BackendFallbackWarning` — never
-silently. Use :func:`repro.network.network.build_network` to construct
+Every feature runs here, fault injection and the reliable transport
+included. Use :func:`repro.network.network.build_network` to construct
 the backend a config asks for.
 """
 

@@ -11,9 +11,11 @@ do this cycle:
 
 Both gates reproduce the reference behavior exactly — the skipped calls
 would have returned without touching any state or emitting any event.
-Fault injection and the reliable transport are refused up front (the
-runner falls back to the reference core for those runs), which is what
-lets FastRouter drop the per-flit fault hooks.
+Fault injection and the reliable transport run here too: ``step`` calls
+``faults.begin_cycle`` and ``transport.step`` where the reference
+``Network.step`` calls them, and :meth:`FastNetwork.attach_faults`
+switches the fast paths that assume a fault-free network back to the
+reference behavior.
 """
 
 from repro.fastcore.router import FastRouter
@@ -29,22 +31,32 @@ class FastNetwork(Network):
     SINK_CLS = FastSink
 
     def attach_faults(self, controller):
-        raise RuntimeError(
-            "the fast core does not support fault injection; build the "
-            "network with backend='reference' (the runner does this "
-            "automatically, with a BackendFallbackWarning)"
-        )
+        """Arm a FaultController (reference binding, plus fast-core hooks).
 
-    def attach_transport(self, transport):
-        raise RuntimeError(
-            "the fast core does not support the reliable transport; "
-            "build the network with backend='reference' (the runner "
-            "does this automatically, with a BackendFallbackWarning)"
-        )
+        Fault-aware DOR detours around dead links, so the routers' and
+        sources' DOR memos are turned off; terminals get the controller
+        so they keep the reference's killed/corrupted-packet handling.
+        """
+        for router in self.routers:
+            router._route_cache = None
+        for source in self.sources:
+            source._route_cache = None
+            source.faults = controller
+        for sink in self.sinks:
+            sink.faults = controller
+        return super().attach_faults(controller)
+
+    def retire_router(self, router_id):
+        """Reference retirement; the router fault that triggers it has
+        just cleared the router's buffers, so its masks are rebuilt."""
+        super().retire_router(router_id)
+        self.routers[router_id]._rebuild_occupancy()
 
     def step(self):
         """Advance one cycle (reference order, idle terminals skipped)."""
         now = self.cycle
+        if self.faults is not None:
+            self.faults.begin_cycle(now)
         for router in self.step_routers:
             router.receive(now)
         for sink in self.sinks:
@@ -59,6 +71,8 @@ class FastNetwork(Network):
                 source.step(now)
         for router in self.step_routers:
             router.step(now)
+        if self.transport is not None:
+            self.transport.step(now)
         if self.sampler is not None:
             self.sampler.maybe_sample(now)
         if self.invariants is not None:

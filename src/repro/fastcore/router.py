@@ -18,12 +18,16 @@ phases find work:
 - per-step constants (``trace.active``, starvation mode, VC class
   ranges) are hoisted out of the per-VC loops.
 
-FastRouter is only ever built by FastNetwork, which refuses fault
-injection and the reliable transport — so the fault hooks the reference
-router checks per flit (``self.faults``) are statically None here, and
-the occupancy masks cannot be desynchronized by fault purges.
-Checkpoint state is inherited unchanged; ``load_state`` rebuilds the
-masks from the restored buffers, so snapshots round-trip with the
+Fault injection reuses the reference fault code through
+``if fv is not None`` hooks (``fv`` is ``self.faults``, a
+:class:`~repro.faults.controller.RouterFaultView` or None): the inlined
+``receive`` calls ``fv.intercept`` in the reference order, the fused SA
+scan skips killed packets and dead outputs, and ``step`` runs the
+inherited ``_fault_prepass`` only when it can act (see
+:meth:`FastRouter._gated_fault_prepass`). The prepass and a router
+fault purge buffers behind the masks' back, so both are followed by
+:meth:`FastRouter._rebuild_occupancy` — the routine ``load_state`` uses
+after a checkpoint restore, which is how snapshots round-trip with the
 reference core.
 """
 
@@ -88,12 +92,16 @@ class FastRouter(Router):
         #: Lazily-resolved (queue, delay) pairs for the output flit and
         #: upstream credit channels, mirroring _rx on the send side.
         self._tx = None
-        #: Look-ahead route memo for plain XY DOR: with no faults (this
-        #: backend refuses them) and no detour state, next_hop is a pure
-        #: function of (downstream router, destination terminal). Other
-        #: routing functions (torus datelines, fault detours) call
-        #: through uncached.
+        #: Look-ahead route memo for plain XY DOR: with no faults and no
+        #: detour state, next_hop is a pure function of (downstream
+        #: router, destination terminal). Other routing functions (torus
+        #: datelines) call through uncached, and FastNetwork.attach_faults
+        #: turns the memo off (fault-aware DOR detours).
         self._route_cache = {} if type(routing) is DORMesh else None
+        #: The fault controller's kill counter as of this router's last
+        #: clean fault scan (no killed packet buffered or in service);
+        #: -1 forces a scan. See _gated_fault_prepass.
+        self._kills_seen = -1
         upgrade_allocator(self.switch_alloc)
         upgrade_allocator(self.pc_alloc)
         if self.vc_alloc is not None:
@@ -120,21 +128,101 @@ class FastRouter(Router):
         # cache captured; rebuild both channel caches lazily.
         self._rx = None
         self._tx = None
-        occ = self._occ_mask
-        for p in range(self.radix):
+        self._rebuild_occupancy()
+
+    def _occupancy_from_buffers(self):
+        """(per-port occupancy masks, total buffered flits), recomputed
+        from the VC buffers."""
+        masks = []
+        total = 0
+        for vcs in self.in_vcs:
             mask = 0
-            for v, vcobj in enumerate(self.in_vcs[p]):
+            for v, vcobj in enumerate(vcs):
                 if vcobj.queue:
                     mask |= 1 << v
-            occ[p] = mask
+                    total += len(vcobj.queue)
+            masks.append(mask)
+        return masks, total
+
+    def _rebuild_occupancy(self):
+        """Recompute ``_occ_mask`` and ``_fill`` from the VC buffers.
+
+        Needed after anything that changes the buffers outside
+        ``receive``/``_send_flit``: a checkpoint restore, the fault
+        prepass's purges, and a router fault clearing the buffers.
+        """
+        masks, total = self._occupancy_from_buffers()
+        self._occ_mask[:] = masks
+        self._fill[0] = total
+
+    def occupancy_mismatches(self):
+        """Messages for every ``_occ_mask``/``_fill`` entry that disagrees
+        with the buffers (empty when the packed state is exact); the
+        strict invariant checker sweeps this."""
+        masks, total = self._occupancy_from_buffers()
+        found = [
+            f"stale occupancy mask: router {self.router_id} port {p} "
+            f"mask {have:#x}, buffers {want:#x}"
+            for p, (have, want) in enumerate(zip(self._occ_mask, masks))
+            if have != want
+        ]
+        if self._fill[0] != total:
+            found.append(
+                f"stale fill count: router {self.router_id} counts "
+                f"{self._fill[0]} buffered flits, buffers hold {total}"
+            )
+        return found
+
+    # ------------------------------------------------------------------
+    # fault prepass: the reference pass, run only when it can act
+    # ------------------------------------------------------------------
+
+    def _gated_fault_prepass(self, cycle, fv):
+        """Run the inherited ``_fault_prepass`` only when it can act.
+
+        The reference pass scans every port x VC of every router on
+        every cycle, but it only changes state when the router has a
+        dead output or holds a killed packet (buffered anywhere in a VC,
+        or in service). ``step`` calls this only when an output is dead
+        or the controller has killed a packet since this router's last
+        clean scan, so an undisturbed router pays one comparison.
+        Flits of packets killed before a clean scan never land here
+        (``intercept`` drops them on arrival), so a clean scan stays
+        valid until the kill counter moves.
+        """
+        if fv.dead_out or self._holds_killed():
+            fill = self._fill[0]
+            self._fault_prepass(cycle, fv)
+            if self._fill[0] != fill:
+                self._rebuild_occupancy()
+            if fv.dead_out or self._holds_killed():
+                return  # rescan next cycle
+        self._kills_seen = fv.controller.killed_packets
+
+    def _holds_killed(self):
+        """True if a killed packet is buffered or in service here."""
+        for vcs in self.in_vcs:
+            for vcobj in vcs:
+                active = vcobj.active_packet
+                if active is not None and active.killed:
+                    return True
+                for flit in vcobj.queue:
+                    if flit.packet.killed:
+                        return True
+        return False
 
     # ------------------------------------------------------------------
     # the fused cycle: the reference phase sequence without the
     # per-phase dispatch, property lookups, or single-request allocator
-    # calls (faults are statically absent in this backend)
+    # calls
     # ------------------------------------------------------------------
 
     def step(self, cycle):
+        fv = self.faults
+        if fv is not None and (
+            fv.dead_out or fv.controller.killed_packets != self._kills_seen
+        ):
+            self._gated_fault_prepass(cycle, fv)
         held_any = False
         for held in self.conn_out:
             if held is not None:
@@ -254,6 +342,10 @@ class FastRouter(Router):
                             break
                     else:
                         continue
+                if fv is not None and (
+                    flit.packet.killed or o in fv.dead_out
+                ):
+                    continue  # the reference's mid-cycle fault guard
                 if age_mode:
                     prio = starv.packet_priority(
                         flit.packet.priority, vcobj.wait_cycles
@@ -682,6 +774,7 @@ class FastRouter(Router):
         tr_active = tr.active
         occ = self._occ_mask
         fill = self._fill
+        fv = self.faults
         for p, fq, vcs in rx[0]:
             if fq:
                 while fq and fq[0][0] <= cycle:
@@ -690,6 +783,8 @@ class FastRouter(Router):
                         raise AssertionError(
                             "channel item missed its delivery cycle"
                         )
+                    if fv is not None and fv.intercept(self, p, flit, cycle):
+                        continue  # dropped, credit returned upstream
                     # Inlined VirtualChannel.push() (overflow assertion
                     # and the shared fill cell included).
                     vcobj = vcs[flit.vc]
@@ -947,6 +1042,7 @@ class FastRouter(Router):
         class_vcs = self._class_vcs
         split_plain = self.split_va and not self.speculative_va
         speculative = self.speculative_va
+        fv = self.faults
         for p in range(self.radix):
             if conn_in_start[p] is not None:
                 continue  # inputs connected at cycle start sit out of SA
@@ -982,6 +1078,10 @@ class FastRouter(Router):
                         continue
                 else:  # pragma: no cover - body flit without state
                     raise AssertionError("body flit at VC front without state")
+                if fv is not None and (
+                    flit.packet.killed or o in fv.dead_out
+                ):
+                    continue  # the reference's mid-cycle fault guard
                 if age_mode:
                     prio = starv.packet_priority(
                         flit.packet.priority, vcobj.wait_cycles

@@ -12,16 +12,23 @@ arrays (ragged radices are padded with ``-1``). With NumPy installed
 the result is a dict of ``int64`` ndarrays ready for slicing /
 aggregation (the live dashboard and hot-spot attribution tools consume
 these); without it, the same data comes back as plain nested lists —
-the fast core itself never requires NumPy.
+the fast core itself never requires NumPy. NumPy is imported on the
+first export, not with the module: building and running a network
+never loads it (about 11 MB of resident memory).
 """
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    numpy = None
 
 #: Fill value for ports beyond a router's radix (ragged topologies).
 PAD = -1
+
+
+def _np():
+    """The numpy module, imported on first use (``sys.modules`` caches
+    it from then on), or None where it is not installed."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - where numpy is absent
+        return None
+    return numpy
 
 
 def state_arrays(network):
@@ -34,44 +41,20 @@ def state_arrays(network):
     are ``-1``. Values are NumPy ``int64`` arrays when NumPy is
     available, nested lists otherwise.
     """
-    routers = network.routers
-    num_routers = len(routers)
-    max_radix = max(r.radix for r in routers)
-    num_vcs = network.config.num_vcs
-
-    credits = _full((num_routers, max_radix, num_vcs))
-    occupancy = _full((num_routers, max_radix, num_vcs))
-    conn_in = _full((num_routers, max_radix))
-    conn_age = _full((num_routers, max_radix))
-    port_flits = _full((num_routers, max_radix))
-    conn_out = _full((num_routers, max_radix, 2))
-
-    for r, router in enumerate(routers):
-        for p in range(router.radix):
-            rc = router.credits[p]
-            vcs = router.in_vcs[p]
-            for v in range(num_vcs):
-                _set3(credits, r, p, v, rc[v])
-                _set3(occupancy, r, p, v, len(vcs[v].queue))
-            ci = router.conn_in[p]
-            _set2(conn_in, r, p, ci if ci is not None else PAD)
-            _set2(conn_age, r, p, router.conn_age[p])
-            _set2(port_flits, r, p, router.port_flits[p])
-            held = router.conn_out[p]
-            if held is None:
-                _set3(conn_out, r, p, 0, PAD)
-                _set3(conn_out, r, p, 1, PAD)
-            else:
-                _set3(conn_out, r, p, 0, held[0])
-                _set3(conn_out, r, p, 1, held[1])
-    return {
-        "credits": credits,
-        "occupancy": occupancy,
-        "conn_in": conn_in,
-        "conn_age": conn_age,
-        "port_flits": port_flits,
-        "conn_out": conn_out,
-    }
+    return _export(
+        [
+            (
+                router.credits,
+                [[len(vc.queue) for vc in vcs] for vcs in router.in_vcs],
+                router.conn_in,
+                router.conn_age,
+                router.port_flits,
+                router.conn_out,
+            )
+            for router in network.routers
+        ],
+        network.config.num_vcs,
+    )
 
 
 def state_arrays_from_state(router_states, num_vcs):
@@ -84,43 +67,20 @@ def state_arrays_from_state(router_states, num_vcs):
     gap between the two representations: if the fast core's array view
     ever drifted from canonical state, the two exports would disagree.
     """
-    num_routers = len(router_states)
-    max_radix = max(len(state["conn_in"]) for state in router_states)
-
-    credits = _full((num_routers, max_radix, num_vcs))
-    occupancy = _full((num_routers, max_radix, num_vcs))
-    conn_in = _full((num_routers, max_radix))
-    conn_age = _full((num_routers, max_radix))
-    port_flits = _full((num_routers, max_radix))
-    conn_out = _full((num_routers, max_radix, 2))
-
-    for r, state in enumerate(router_states):
-        radix = len(state["conn_in"])
-        for p in range(radix):
-            rc = state["credits"][p]
-            vcs = state["in_vcs"][p]
-            for v in range(num_vcs):
-                _set3(credits, r, p, v, rc[v])
-                _set3(occupancy, r, p, v, len(vcs[v]["queue"]))
-            ci = state["conn_in"][p]
-            _set2(conn_in, r, p, ci if ci is not None else PAD)
-            _set2(conn_age, r, p, state["conn_age"][p])
-            _set2(port_flits, r, p, state["port_flits"][p])
-            held = state["conn_out"][p]
-            if held is None:
-                _set3(conn_out, r, p, 0, PAD)
-                _set3(conn_out, r, p, 1, PAD)
-            else:
-                _set3(conn_out, r, p, 0, held[0])
-                _set3(conn_out, r, p, 1, held[1])
-    return {
-        "credits": credits,
-        "occupancy": occupancy,
-        "conn_in": conn_in,
-        "conn_age": conn_age,
-        "port_flits": port_flits,
-        "conn_out": conn_out,
-    }
+    return _export(
+        [
+            (
+                state["credits"],
+                [[len(vc["queue"]) for vc in vcs] for vcs in state["in_vcs"]],
+                state["conn_in"],
+                state["conn_age"],
+                state["port_flits"],
+                state["conn_out"],
+            )
+            for state in router_states
+        ],
+        num_vcs,
+    )
 
 
 def verify_state_arrays(network):
@@ -137,6 +97,7 @@ def verify_state_arrays(network):
         [r.state_dict(SnapshotContext()) for r in network.routers],
         network.config.num_vcs,
     )
+    numpy = _np()
     for key in live:
         a, b = live[key], derived[key]
         if numpy is not None:
@@ -150,23 +111,39 @@ def verify_state_arrays(network):
     return live
 
 
-def _full(shape):
-    if numpy is not None:
-        return numpy.full(shape, PAD, dtype=numpy.int64)
-    if len(shape) == 1:
-        return [PAD] * shape[0]
-    return [_full(shape[1:]) for _ in range(shape[0])]
+def _export(rows, num_vcs):
+    """Pad per-router ``(credits, occupancy, conn_in, conn_age,
+    port_flits, conn_out)`` rows to the largest radix, as arrays."""
+    max_radix = max(len(row[2]) for row in rows)
+    out = {key: [] for key in (
+        "credits", "occupancy", "conn_in", "conn_age", "port_flits",
+        "conn_out",
+    )}
+    for credits, occupancy, conn_in, conn_age, port_flits, conn_out in rows:
+        fill = max_radix - len(conn_in)
+        out["credits"].append(
+            [list(c) for c in credits] + _pad_rows(fill, num_vcs)
+        )
+        out["occupancy"].append(
+            [list(o) for o in occupancy] + _pad_rows(fill, num_vcs)
+        )
+        out["conn_in"].append(
+            [PAD if ci is None else ci for ci in conn_in] + [PAD] * fill
+        )
+        out["conn_age"].append(list(conn_age) + [PAD] * fill)
+        out["port_flits"].append(list(port_flits) + [PAD] * fill)
+        out["conn_out"].append(
+            [[PAD, PAD] if held is None else [held[0], held[1]]
+             for held in conn_out] + _pad_rows(fill, 2)
+        )
+    numpy = _np()
+    if numpy is None:
+        return out
+    return {
+        key: numpy.array(value, dtype=numpy.int64)
+        for key, value in out.items()
+    }
 
 
-def _set2(arr, i, j, value):
-    if numpy is not None:
-        arr[i, j] = value
-    else:
-        arr[i][j] = value
-
-
-def _set3(arr, i, j, k, value):
-    if numpy is not None:
-        arr[i, j, k] = value
-    else:
-        arr[i][j][k] = value
+def _pad_rows(count, width):
+    return [[PAD] * width for _ in range(count)]

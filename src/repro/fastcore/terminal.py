@@ -1,10 +1,10 @@
 """The fast core's terminals: inlined channel I/O, memoized first hops.
 
 FastSource and FastSink reproduce the reference
-:class:`~repro.network.terminal.Source`/``Sink`` behavior exactly for
-the fault-free runs this backend accepts (FastNetwork refuses fault
-injection, so ``packet.killed``/``packet.corrupted`` are statically
-False and their per-flit checks are dropped). The remaining differences
+:class:`~repro.network.terminal.Source`/``Sink`` behavior exactly. The
+reference's per-flit checks for packets killed or corrupted by fault
+injection sit behind ``if self.faults is not None`` (the controller is
+installed by ``FastNetwork.attach_faults``); the remaining differences
 are mechanical:
 
 - channel sends/receives append/pop the timestamped deques directly
@@ -12,7 +12,8 @@ are mechanical:
 - the per-class VC ranges are resolved once at construction;
 - for plain XY DOR (no faults, no detour state) the first-hop routing
   decision is memoized per destination — ``prepare``/``next_hop`` are
-  pure there, see :class:`repro.fastcore.router.FastRouter`.
+  pure there, see :class:`repro.fastcore.router.FastRouter`. Binding a
+  fault controller turns the memo off.
 
 Checkpoint state layout is inherited unchanged; the cached channel
 deques keep their identity across ``load_state`` (channels load in
@@ -39,6 +40,8 @@ class FastSource(Source):
             tuple(config.vc_class_range(c)) for c in range(config.num_classes)
         ]
         self._route_cache = {} if type(routing) is DORMesh else None
+        #: The FaultController, or None (no killed packets possible).
+        self.faults = None
 
     def receive_credits(self, cycle):
         cq = self._cq
@@ -57,6 +60,12 @@ class FastSource(Source):
             flits = self._flits
             if not flits:
                 return
+        if self.faults is not None and flits[0].packet.killed:
+            # Killed mid-injection: the remaining flits never enter the
+            # network (nothing was charged for them).
+            self._flits = None
+            self._vc = None
+            return
         vc = self._vc
         if self.credits[vc] == 0:
             return
@@ -125,6 +134,8 @@ class FastSink(Sink):
         self._fq = flit_channel._queue
         self._cq = credit_channel._queue
         self._cdelay = credit_channel.delay
+        #: The FaultController, or None (every packet is deliverable).
+        self.faults = None
 
     def step(self, cycle):
         fq = self._fq
@@ -132,6 +143,7 @@ class FastSink(Sink):
         cdelay = self._cdelay
         stats = self.stats
         tr = self.trace
+        faults = self.faults
         consumed = 0
         while fq and fq[0][0] <= cycle:
             due, flit = fq.popleft()
@@ -140,8 +152,15 @@ class FastSink(Sink):
             cq.append((cycle + cdelay, flit.vc))
             consumed += 1
             packet = flit.packet
-            # No corrupted/killed disposal here: this backend refuses
-            # fault injection, so every ejected packet is deliverable.
+            if faults is not None and (packet.corrupted or packet.killed):
+                # Failed end-to-end check: the credit went back, but the
+                # packet never reaches the statistics collector.
+                if flit.is_tail and tr.active:
+                    tr.emit(
+                        "packet_killed", cycle, terminal=self.terminal,
+                        pid=packet.pid, reason="corrupted_at_sink",
+                    )
+                continue
             if flit.is_tail:
                 packet.time_ejected = cycle
                 stats.record_ejected(packet, cycle)

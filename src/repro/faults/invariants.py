@@ -16,7 +16,11 @@ protocol and allocator are supposed to guarantee:
   credit counter leaves [0, depth];
 - **connection-table consistency** — at most one connection per output
   port, and ``conn_in``/``conn_out`` always agree (one connection per
-  input, too).
+  input, too);
+- **packed occupancy** (strict mode, fast core) — every FastRouter's
+  per-port occupancy bitmasks and buffered-flit count match its VC
+  buffers, so a mask left stale by a fault purge fails the next sweep
+  instead of silently mis-steering allocation.
 
 ``strict`` mode raises :class:`InvariantViolation` on the first bad
 sweep (CI, tests); ``report`` mode records violations, emits
@@ -104,6 +108,8 @@ class InvariantChecker:
         self._check_connections(found)
         self._check_credit_conservation(found)
         self._check_flit_conservation(found)
+        if self.mode == "strict":
+            self._check_occupancy_masks(found)
         self.checks_run += 1
         if found:
             self._handle(cycle, found)
@@ -210,6 +216,12 @@ class InvariantChecker:
                 f"flit conservation broken: injected {sent} != delivered "
                 f"{consumed} + in-flight {in_flight} + dropped {dropped}"
             )
+
+    def _check_occupancy_masks(self, found):
+        for router in self.network.routers:
+            mismatches = getattr(router, "occupancy_mismatches", None)
+            if mismatches is not None:
+                found.extend(mismatches())
 
     # --- reporting --------------------------------------------------------
 

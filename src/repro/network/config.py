@@ -67,9 +67,9 @@ class NetworkConfig:
     #: "reference" is the per-object Python core; "fast" selects the
     #: structure-of-arrays core in :mod:`repro.fastcore`, which is
     #: bit-identical to the reference (results, metrics, traces,
-    #: checkpoints) but substantially faster. Unsupported feature
-    #: combinations (fault injection, reliable transport) fall back to
-    #: the reference core with a warning. The backend is an execution
+    #: checkpoints) but substantially faster; every feature, fault
+    #: injection and the reliable transport included, runs on both.
+    #: The backend is an execution
     #: detail, not an experiment parameter: it is excluded from
     #: checkpoint config hashes so snapshots stay portable.
     backend: str = "reference"

@@ -23,12 +23,11 @@ ST_LATENCY = 1
 
 
 class BackendFallbackWarning(UserWarning):
-    """``backend="fast"`` could not be honored; the reference core runs.
+    """``backend="fast"`` was not honored; the reference core runs.
 
-    Emitted (never silently swallowed) when the fast core is requested
-    but unavailable (NumPy-less fallback is fine — the fast core does
-    not require it — but e.g. fault injection or a reliable transport
-    force the reference core).
+    Every feature runs on both cores, so this is only emitted when a
+    caller forces the reference core with ``build_network(...,
+    allow_fast=False)`` — never silently.
     """
 
 
@@ -36,11 +35,10 @@ def build_network(config, stats=None, trace=None, allow_fast=True):
     """Build the Network subclass selected by ``config.backend``.
 
     ``allow_fast=False`` forces the reference core with a
-    :class:`BackendFallbackWarning` even when ``backend="fast"`` — the
-    runner uses it when a requested feature (fault injection, reliable
-    transport) is outside the fast core's supported envelope. The
-    config object is never mutated, so checkpoint config hashes and
-    saved config files keep the user's backend choice.
+    :class:`BackendFallbackWarning` even when ``backend="fast"`` (for
+    callers that want to time or compare the reference construction
+    path). The config object is never mutated, so checkpoint config
+    hashes and saved config files keep the user's backend choice.
     """
     import warnings
 
@@ -50,9 +48,8 @@ def build_network(config, stats=None, trace=None, allow_fast=True):
 
             return FastNetwork(config, stats=stats, trace=trace)
         warnings.warn(
-            "backend='fast' is not supported for this run "
-            "(fault injection / reliable transport require the "
-            "reference core); falling back to backend='reference'",
+            "backend='fast' overridden by allow_fast=False; "
+            "building backend='reference'",
             BackendFallbackWarning,
             stacklevel=2,
         )

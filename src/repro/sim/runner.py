@@ -317,12 +317,7 @@ def run_simulation(
             "measure": measure,
             "drain": drain,
         })
-    # Fault injection and the reliable transport are outside the fast
-    # core's envelope; build_network falls back to the reference core
-    # with a BackendFallbackWarning rather than failing or silently
-    # dropping the features.
-    allow_fast = faults is None and transport is None
-    net = build_network(config, trace=trace, allow_fast=allow_fast)
+    net = build_network(config, trace=trace)
     if profiler is not None:
         net.attach_profiler(profiler)
     if sampler is not None:

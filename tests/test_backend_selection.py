@@ -1,20 +1,25 @@
 """Backend selection: config plumbing, CLI, fallback, and bench twins.
 
 The ``backend`` field is an execution detail that must survive config
-round-trips, be selectable from the CLI, and *never* silently degrade:
-when the fast core cannot honor a run (fault injection, reliable
-transport), the fallback to the reference core carries a
+round-trips, be selectable from the CLI, and *never* silently degrade.
+Every feature (fault injection and the reliable transport included)
+runs on both cores; the only fallback left is an explicit
+``build_network(..., allow_fast=False)``, which carries a
 :class:`BackendFallbackWarning`.
 """
 
 import dataclasses
 import io
 import json
+import subprocess
+import sys
+import warnings
 
 import pytest
 
 from repro.cli import main
-from repro.faults.plan import FaultPlan, LinkFault
+from repro.faults import FaultController, ReliableTransport
+from repro.faults.plan import FaultPlan, FlitErrors, LinkFault
 from repro.network import flit as flitmod
 from repro.network.config import NetworkConfig, mesh_config
 from repro.network.network import BackendFallbackWarning, build_network
@@ -72,26 +77,51 @@ class TestBuildNetwork:
             )
         assert type(net) is Network
 
-    def test_fast_network_refuses_faults_and_transport(self):
+    def test_fast_network_accepts_faults_and_transport(self):
+        from repro.fastcore import FastNetwork
+
         net = build_network(mesh_config(mesh_k=4, backend="fast"))
-        with pytest.raises(RuntimeError, match="fault"):
-            net.attach_faults(object())
-        with pytest.raises(RuntimeError, match="transport"):
-            net.attach_transport(object())
+        controller = net.attach_faults(FaultController(FaultPlan()))
+        transport = net.attach_transport(ReliableTransport())
+        assert type(net) is FastNetwork
+        assert net.faults is controller and net.transport is transport
+        net.run(5)
+        assert net.cycle == 5
+
+
+def _fault_plan():
+    return FaultPlan(
+        links=[LinkFault(router=5, port=1, cycle=60, duration=20)],
+        flit_errors=FlitErrors(drop=0.002, corrupt=0.001),
+    )
 
 
 class TestRunnerFallback:
-    def test_faults_force_reference_core_with_warning(self):
-        plan = FaultPlan(links=[LinkFault(router=5, port=1, cycle=60,
-                                          duration=20)])
+    def test_fault_run_builds_fast_network_without_warning(self):
+        from repro.fastcore import FastNetwork
+
+        controller = FaultController(_fault_plan())
         config = mesh_config(mesh_k=4, backend="fast")
-        with pytest.warns(BackendFallbackWarning):
-            result = run_simulation(config, faults=plan, **RUN)
-        assert result.offered_rate > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BackendFallbackWarning)
+            result = run_simulation(config, faults=controller, **RUN)
+        assert type(controller.network) is FastNetwork
+        assert result.faults["injection"]["failed_links"] == 1
+
+    def test_transport_run_builds_fast_network_without_warning(self):
+        from repro.fastcore import FastNetwork
+
+        transport = ReliableTransport(timeout=128)
+        config = mesh_config(mesh_k=4, backend="fast")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BackendFallbackWarning)
+            result = run_simulation(
+                config, faults=_fault_plan(), transport=transport, **RUN
+            )
+        assert type(transport.network) is FastNetwork
+        assert result.faults["transport"]["tracked"] > 0
 
     def test_fault_free_fast_run_does_not_warn(self):
-        import warnings
-
         config = mesh_config(mesh_k=4, backend="fast")
         with warnings.catch_warnings():
             warnings.simplefilter("error", BackendFallbackWarning)
@@ -164,3 +194,27 @@ class TestStateArrays:
         )
         conn_out = arrays["conn_out"]
         assert list(conn_out[0][0]) == [-1, -1]
+
+    def test_state_arrays_are_int64_ndarrays_with_numpy(self):
+        numpy = pytest.importorskip("numpy")
+        net = build_network(mesh_config(mesh_k=4, backend="fast"))
+        arrays = net.state_arrays()
+        for value in arrays.values():
+            assert isinstance(value, numpy.ndarray)
+            assert value.dtype == numpy.int64
+
+    def test_fast_network_run_does_not_import_numpy(self):
+        """NumPy loads on the first SoA export, not with the fast core."""
+        code = (
+            "import sys\n"
+            "from repro.network.config import mesh_config\n"
+            "from repro.network.network import build_network\n"
+            "net = build_network(mesh_config(mesh_k=4, backend='fast'))\n"
+            "net.run(20)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

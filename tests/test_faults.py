@@ -23,7 +23,7 @@ from repro.faults.plan import FlitErrors, LinkFault, RouterFault
 from repro.faults.watchdog import WatchdogError
 from repro.network.config import mesh_config
 from repro.network.flit import Packet
-from repro.network.network import Network
+from repro.network.network import Network, build_network
 from repro.obs.trace import NULL_TRACE
 from repro.sim.runner import SimulationRun, run_simulation
 from repro.topology.mesh import (
@@ -243,6 +243,43 @@ class TestInvariants:
         net.routers[0].conn_out[0] = (1, 0)  # conn_in side not set
         with pytest.raises(InvariantViolation, match="disagree"):
             checker.check(net.cycle)
+
+    def test_strict_detects_stale_fast_core_mask(self):
+        net = build_network(mesh_config(mesh_k=4, backend="fast"))
+        checker = net.attach_invariants(InvariantChecker())
+        net.routers[0]._occ_mask[1] = 0b10  # no flit buffered there
+        with pytest.raises(InvariantViolation, match="stale occupancy"):
+            checker.check(net.cycle)
+
+    def test_strict_detects_purge_without_mask_rebuild(self):
+        """A buffer purge that bypasses the fast core's occupancy
+        bookkeeping (as a fault purge would without the rebuild) fails
+        the next strict sweep."""
+        net = build_network(mesh_config(mesh_k=4, backend="fast"))
+        checker = net.attach_invariants(InvariantChecker(period=1000))
+        rng = random.Random(5)
+        inj = BernoulliInjector(net.num_terminals,
+                                build_pattern("uniform", 16, rng), 0.5,
+                                FixedLength(4), rng)
+        while not any(r.total_buffered_flits() for r in net.routers):
+            for packet in inj.generate(net.cycle):
+                net.inject(packet)
+            net.step()
+        checker.check(net.cycle)  # exact so far
+        router = next(r for r in net.routers if r.total_buffered_flits())
+        for vcs in router.in_vcs:
+            for vcobj in vcs:
+                vcobj.queue.clear()
+        with pytest.raises(InvariantViolation, match="stale"):
+            checker.check(net.cycle)
+        router._rebuild_occupancy()
+        assert router.occupancy_mismatches() == []
+
+    def test_report_mode_skips_the_mask_sweep(self):
+        net = build_network(mesh_config(mesh_k=4, backend="fast"))
+        checker = net.attach_invariants(InvariantChecker(mode="report"))
+        net.routers[0]._occ_mask[1] = 0b10
+        assert checker.check(net.cycle) == []
 
 
 def wedge_router(net, router_id):
